@@ -19,10 +19,10 @@
 
 #include "bench/common.h"
 #include "dirac/wilson_ops.h"
+#include "solvers/block_schwarz.h"
 #include "solvers/gcr.h"
 #include "solvers/overlap_schwarz.h"
 #include "solvers/sap.h"
-#include "solvers/schwarz.h"
 #include "tune/schwarz_policy.h"
 #include "tune/tune_cache.h"
 #include "tune/tune_launch.h"
@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   WilsonCloverOperator<double> m(u, &clover, mass);
   BlockMask mask(g, {1, 1, 2, 4});
   WilsonCloverOperator<double> dirichlet(u, &clover, mass, &mask);
+  const PerRhsMultiOperator<WilsonField<double>> dirichlet_batch(dirichlet);
 
   GcrParams gp;
   gp.tol = 1e-6;
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
                 residual(x));
   }
   {
-    SchwarzPreconditioner<WilsonField<double>> pre(dirichlet, mask,
+    SchwarzPreconditioner<WilsonField<double>> pre(dirichlet_batch, mask,
                                                    MrParams{10, 1.0});
     WilsonField<double> x(g);
     set_zero(x);
@@ -131,8 +132,9 @@ int main(int argc, char** argv) {
       [&] {
         BlockMask pm(g, active.block_grid);
         WilsonCloverOperator<double> cut(u, &clover, mass, &pm);
+        const PerRhsMultiOperator<WilsonField<double>> cut_batch(cut);
         SchwarzPreconditioner<WilsonField<double>> pre(
-            cut, pm, MrParams{active.mr_steps, 1.0});
+            cut_batch, pm, MrParams{active.mr_steps, 1.0});
         WilsonField<double> x(g);
         set_zero(x);
         Stopwatch sw;

@@ -5,7 +5,7 @@
 #include "dirac/partitioned_schur.h"
 #include "dirac/wilson_ops.h"
 #include "gauge/clover_leaf.h"
-#include "solvers/schwarz.h"
+#include "solvers/block_schwarz.h"
 
 namespace lqcd {
 
@@ -50,9 +50,10 @@ DistributedSolveOutcome solve_wilson_clover_distributed(
   PartitionedWilsonCloverSchur<double> outer(part, u, a, req.mass);
   PartitionedWilsonCloverSchur<double> dirichlet(part, u, a, req.mass,
                                                  /*comms=*/false);
+  const PerRhsMultiOperator<WilsonField<double>> dirichlet_batch(dirichlet);
   BlockMask mask(u.geometry(), gpu_grid);
   SchwarzPreconditioner<WilsonField<double>> precond(
-      dirichlet, mask, MrParams{req.mr_steps, 1.0});
+      dirichlet_batch, mask, MrParams{req.mr_steps, 1.0});
 
   WilsonField<double> b_hat(u.geometry());
   outer.prepare_source(b_hat, b);

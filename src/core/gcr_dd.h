@@ -15,15 +15,17 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "dirac/even_odd.h"
+#include "dirac/multi_rhs.h"
 #include "dirac/partitioned_schur.h"
 #include "dirac/twisted_mass.h"
 #include "fields/precision.h"
 #include "lattice/block_mask.h"
 #include "lattice/partition.h"
-#include "solvers/gcr.h"
-#include "solvers/schwarz.h"
+#include "solvers/block_gcr.h"
+#include "solvers/block_schwarz.h"
 
 namespace lqcd {
 
@@ -46,9 +48,9 @@ struct GcrDdParams {
 
   /// Twisted-mass term i*mu*gamma5*tau3 (dirac/twisted_mass.h): when
   /// nonzero, the twist is folded into the solver's single-precision
-  /// clover copy, so the outer Schur operator, the Dirichlet-cut Schwarz
-  /// preconditioner, and the multi-RHS batch path all run the twisted
-  /// action with no further changes.  `twist_flavor` (+1/-1) selects the
+  /// clover copy, so the outer Schur operator and the Dirichlet-cut
+  /// Schwarz preconditioner both run the twisted action with no further
+  /// changes.  `twist_flavor` (+1/-1) selects the
   /// flavor of the degenerate doublet (tau3 eigenvalue).
   double twisted_mu = 0.0;
   int twist_flavor = +1;
@@ -64,8 +66,22 @@ struct GcrDdParams {
   std::optional<std::array<int, kNDim>> rank_grid;
 };
 
-/// GCR-DD solver for the Wilson-clover system M x = b on the full lattice.
-/// The clover field may be null (plain Wilson).
+/// GCR-DD solver for the Wilson-clover system M x = b on the full lattice,
+/// for one RHS or a batch of them.  The clover field may be null (plain
+/// Wilson).
+///
+/// One operator stack serves every batch width: the outer Krylov matvecs
+/// and the Schwarz MR steps are issued as multi-RHS batches
+/// (block_gcr_solve + SchwarzPreconditioner), so every reconstructed
+/// gauge-link load services the whole batch, and a single RHS is the same
+/// call at width 1.  Per-RHS solutions and SolverStats do not depend on
+/// the batch width or its composition (asserted in tests/test_serve.cpp).
+///
+/// With `rank_grid` set, the outer operator runs through the virtual
+/// cluster per RHS (PerRhsMultiOperator: the overlap schedule is
+/// per-field), while the comm-free Schwarz preconditioner stays natively
+/// batched — the same split the paper's multi-GPU practice implies, where
+/// the Dirichlet-cut preconditioner is the comms-free bulk of the work.
 class GcrDdWilsonSolver {
  public:
   GcrDdWilsonSolver(const GaugeField<double>& u,
@@ -90,17 +106,24 @@ class GcrDdWilsonSolver {
       }
     }
     half_roundtrip(u_half_);
+    const CloverField<float>* a = clover_single_ ? &*clover_single_ : nullptr;
     if (params.rank_grid) {
       op_part_ = std::make_unique<PartitionedWilsonCloverSchur<float>>(
-          Partitioning(u.geometry(), *params.rank_grid), u_single_,
-          clover_single_ ? &*clover_single_ : nullptr, params.mass);
+          Partitioning(u.geometry(), *params.rank_grid), u_single_, a,
+          params.mass);
+      multi_op_ =
+          std::make_unique<PerRhsMultiOperator<WilsonField<float>>>(*op_part_);
     } else {
-      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-          u_single_, clover_single_ ? &*clover_single_ : nullptr, params.mass);
+      op_ = std::make_unique<WilsonCloverSchurOperator<float>>(u_single_, a,
+                                                               params.mass);
+      multi_op_ = std::make_unique<NativeMultiRhsOperator<
+          WilsonField<float>, WilsonCloverSchurOperator<float>>>(*op_);
     }
     op_dd_ = std::make_unique<WilsonCloverSchurOperator<float>>(
-        params.half_preconditioner ? u_half_ : u_single_,
-        clover_single_ ? &*clover_single_ : nullptr, params.mass, &mask_);
+        params.half_preconditioner ? u_half_ : u_single_, a, params.mass,
+        &mask_);
+    multi_dd_ = std::make_unique<NativeMultiRhsOperator<
+        WilsonField<float>, WilsonCloverSchurOperator<float>>>(*op_dd_);
     std::function<void(WilsonField<float>&)> store;
     if (params.half_preconditioner) {
       // Schur-system fields keep the odd checkerboard zero; truncating only
@@ -108,47 +131,51 @@ class GcrDdWilsonSolver {
       store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
     }
     precond_ = std::make_unique<SchwarzPreconditioner<WilsonField<float>>>(
-        *op_dd_, mask_, params.mr, store);
+        *multi_dd_, mask_, params.mr, store);
   }
 
-  /// Solves M x = b (both on the full lattice, double precision I/O).
-  /// Returns GCR stats; the final residual reported is the true
-  /// single-precision Schur residual.  `inner_iterations` reports the MR
-  /// steps of *this* solve only (the preconditioner's own tally is
-  /// cumulative across solves; we difference around the solve so a reused
-  /// solver never reports inflated counts).
+  /// Solves M xs[r] = bs[r] for every RHS (full lattice, double precision
+  /// I/O).  Each entry of the returned stats describes that RHS's solve
+  /// only; the final residual reported is the true single-precision Schur
+  /// residual, and `inner_iterations` (MR steps) is attributed per RHS by
+  /// the block driver, so a reused solver or a long-lived service never
+  /// leaks preconditioner work between solves.
   ///
-  /// \p ckpt (optional) threads soak checkpoint I/O into the inner GCR
-  /// (solvers/gcr.h): capture freezes the float Schur-system state
-  /// mid-solve; resume requires the same gauge/clover/params and the same
-  /// \p b — the source preparation is recomputed (it is a pure function of
-  /// them), and the restored Krylov state continues bitwise.
-  SolverStats solve(WilsonField<double>& x, const WilsonField<double>& b,
-                    GcrCheckpointIo<WilsonField<float>>* ckpt = nullptr) {
+  /// \p ckpt (optional) threads soak checkpoint I/O into the block driver
+  /// (solvers/block_gcr.h): capture freezes the whole batch mid-solve at a
+  /// driver-round boundary; resume requires the same gauge/clover/params
+  /// and the same RHS in the same order — the source preparation is
+  /// recomputed (it is a pure function of them), and the restored Krylov
+  /// state continues every RHS bitwise.
+  std::vector<SolverStats> solve(
+      const std::vector<WilsonField<double>*>& xs,
+      const std::vector<const WilsonField<double>*>& bs,
+      BlockGcrCheckpointIo<WilsonField<float>>* ckpt = nullptr) {
+    const std::size_t n = xs.size();
     ScopedSpan span("gcrdd.solve");
-    metric_counter("solver.gcrdd.solves").add();
-    const int inner_before = precond_->inner_steps();
-    // A resumed solve continues the killed run's inner-iteration tally; a
-    // capture freezes the tally as of the checkpointed iteration.
-    const int inner_restored =
-        (ckpt != nullptr && ckpt->resume != nullptr && ckpt->resume->valid())
-            ? ckpt->resume->stats.inner_iterations
-            : 0;
-    if (ckpt != nullptr) {
-      ckpt->inner_iterations_now = [this, inner_before, inner_restored] {
-        return inner_restored + precond_->inner_steps() - inner_before;
-      };
-    }
-    WilsonField<float> b_f = convert_field<float>(b);
-    WilsonField<float> b_hat(b.geometry());
-    if (op_part_) {
-      op_part_->prepare_source(b_hat, b_f);
-    } else {
-      op_->prepare_source(b_hat, b_f);
-    }
+    metric_counter("solver.gcrdd.solves").add(n);
 
-    WilsonField<float> x_f(b.geometry());
-    set_zero(x_f);
+    std::vector<WilsonField<float>> b_f;
+    std::vector<WilsonField<float>> b_hat;
+    std::vector<WilsonField<float>> x_f;
+    b_f.reserve(n);
+    b_hat.reserve(n);
+    x_f.reserve(n);
+    std::vector<WilsonField<float>*> x_ptr(n);
+    std::vector<const WilsonField<float>*> b_hat_ptr(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      b_f.push_back(convert_field<float>(*bs[i]));
+      b_hat.emplace_back(bs[i]->geometry());
+      if (op_part_) {
+        op_part_->prepare_source(b_hat[i], b_f[i]);
+      } else {
+        op_->prepare_source(b_hat[i], b_f[i]);
+      }
+      x_f.emplace_back(bs[i]->geometry());
+      set_zero(x_f[i]);
+      x_ptr[i] = &x_f[i];
+      b_hat_ptr[i] = &b_hat[i];
+    }
 
     GcrParams gp;
     gp.tol = params_.tol;
@@ -159,27 +186,38 @@ class GcrDdWilsonSolver {
     if (params_.half_krylov) {
       low_store = [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
     }
-    SolverStats stats = gcr_solve(schur_operator(), x_f, b_hat,
-                                  precond_.get(), gp, low_store, ckpt);
-    stats.inner_iterations =
-        inner_restored + precond_->inner_steps() - inner_before;
-    // A kill-captured solve returns its partial stats without touching x
-    // (the iterate lives inside the checkpoint, not the output field).
+    std::vector<SolverStats> stats = block_gcr_solve(
+        *multi_op_, x_ptr, b_hat_ptr, precond_.get(), gp, low_store, ckpt);
+
+    // A kill-captured batch returns its partial stats; the iterates live in
+    // the checkpoint, so the output fields are left untouched.
     if (ckpt != nullptr && ckpt->stop_after_capture &&
         ckpt->captured != nullptr && ckpt->captured->valid()) {
       return stats;
     }
 
-    if (op_part_) {
-      op_part_->reconstruct_solution(x_f, b_f);
-    } else {
-      op_->reconstruct_solution(x_f, b_f);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (op_part_) {
+        op_part_->reconstruct_solution(x_f[i], b_f[i]);
+      } else {
+        op_->reconstruct_solution(x_f[i], b_f[i]);
+      }
+      *xs[i] = convert_field<double>(x_f[i]);
     }
-    x = convert_field<double>(x_f);
     return stats;
   }
 
+  /// Solves M x = b: the batched solve at width 1.
+  SolverStats solve(WilsonField<double>& x, const WilsonField<double>& b,
+                    BlockGcrCheckpointIo<WilsonField<float>>* ckpt = nullptr) {
+    return solve(std::vector<WilsonField<double>*>{&x},
+                 std::vector<const WilsonField<double>*>{&b}, ckpt)
+        .front();
+  }
+
   const BlockMask& mask() const { return mask_; }
+  /// The outer single-precision Schur operator (partitioned iff
+  /// `rank_grid` was set).
   const LinearOperator<WilsonField<float>>& schur_operator() const {
     if (op_part_) return *op_part_;
     return *op_;
@@ -198,7 +236,11 @@ class GcrDdWilsonSolver {
   BlockMask mask_;
   std::unique_ptr<WilsonCloverSchurOperator<float>> op_;
   std::unique_ptr<PartitionedWilsonCloverSchur<float>> op_part_;
+  std::unique_ptr<MultiRhsOperator<WilsonField<float>>> multi_op_;
   std::unique_ptr<WilsonCloverSchurOperator<float>> op_dd_;
+  std::unique_ptr<NativeMultiRhsOperator<WilsonField<float>,
+                                         WilsonCloverSchurOperator<float>>>
+      multi_dd_;
   std::unique_ptr<SchwarzPreconditioner<WilsonField<float>>> precond_;
 };
 

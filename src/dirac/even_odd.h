@@ -40,11 +40,12 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
                             const CloverField<Real>* a, double mass,
                             const LinkCut* mask = nullptr,
                             Reconstruct recon = Reconstruct::None)
-      : u_(&u), mass_(mass), mask_(mask), tmp_(u.geometry()),
+      : u_(&u), mass_(mass), mask_(mask),
         diag_(std::make_shared<CloverField<Real>>(u.geometry())),
         inv_diag_(std::make_shared<CloverField<Real>>(u.geometry())) {
     const Real d = static_cast<Real>(4.0 + mass);
     const LatticeGeometry& g = u.geometry();
+    tmp_multi_.emplace_back(g);
     for (std::int64_t s = 0; s < g.volume(); ++s) {
       CloverSite<Real> cs = a != nullptr ? a->at(s) : CloverSite<Real>{};
       cs = clover_add_diagonal(cs, d);
@@ -144,13 +145,14 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   /// b_hat_e = b_e + (1/2) D_eo A_oo^{-1} b_o (result's odd part zero).
   void prepare_source(WilsonField<Real>& b_hat,
                       const WilsonField<Real>& b) const {
-    tmp_.set_zero();
-    for_parity(tmp_, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
+    WilsonField<Real>& tmp = tmp_multi_.front();
+    tmp.set_zero();
+    for_parity(tmp, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
       v = clover_apply(inv_diag_->at(s), b.at(s));
     });
     b_hat.set_zero();
     with_gauge(recon_, [&](const auto& ug) {
-      wilson_hop(b_hat, ug, tmp_, Parity::Even, mask_);
+      wilson_hop(b_hat, ug, tmp, Parity::Even, mask_);
     });
     const LatticeGeometry& g = geometry();
     for (std::int64_t s = 0; s < g.half_volume(); ++s) {
@@ -165,12 +167,13 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   void reconstruct_solution(WilsonField<Real>& x,
                             const WilsonField<Real>& b) const {
     const LatticeGeometry& g = geometry();
-    tmp_.set_zero();
+    WilsonField<Real>& tmp = tmp_multi_.front();
+    tmp.set_zero();
     with_gauge(recon_, [&](const auto& ug) {
-      wilson_hop(tmp_, ug, x, Parity::Odd, mask_);
+      wilson_hop(tmp, ug, x, Parity::Odd, mask_);
     });
     for (std::int64_t s = g.half_volume(); s < g.volume(); ++s) {
-      WilsonSpinor<Real> v = tmp_.at(s);
+      WilsonSpinor<Real> v = tmp.at(s);
       v *= Real(0.5);
       v += b.at(s);
       x.at(s) = clover_apply(inv_diag_->at(s), v);
@@ -188,16 +191,17 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   void apply_impl(const Gauge& ug, WilsonField<Real>& out,
                   const WilsonField<Real>& in) const {
     const LatticeGeometry& g = geometry();
+    WilsonField<Real>& tmp = tmp_multi_.front();
     // tmp_o = D_oe in_e
-    tmp_.set_zero();
-    wilson_hop(tmp_, ug, in, Parity::Odd, mask_);
+    tmp.set_zero();
+    wilson_hop(tmp, ug, in, Parity::Odd, mask_);
     // tmp_o <- A_oo^{-1} tmp_o
-    for_parity(tmp_, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
+    for_parity(tmp, Parity::Odd, [&](std::int64_t s, WilsonSpinor<Real>& v) {
       v = clover_apply(inv_diag_->at(s), v);
     });
     // out_e = D_eo tmp_o
     out.set_zero();
-    wilson_hop(out, ug, tmp_, Parity::Even, mask_);
+    wilson_hop(out, ug, tmp, Parity::Even, mask_);
     // out_e = A_ee in_e - 1/4 out_e
     for (std::int64_t s = 0; s < g.half_volume(); ++s) {
       WilsonSpinor<Real> v = clover_apply(diag_->at(s), in.at(s));
@@ -241,8 +245,10 @@ class WilsonCloverSchurOperator : public LinearOperator<WilsonField<Real>> {
   const GaugeField<Real>* u_;
   double mass_;
   const LinkCut* mask_;
-  mutable WilsonField<Real> tmp_;
-  mutable std::vector<WilsonField<Real>> tmp_multi_;  // apply_multi scratch
+  // Odd-parity scratch, one per RHS of the widest batch seen; apply(),
+  // prepare_source() and reconstruct_solution() use entry 0 (sized in the
+  // constructor).
+  mutable std::vector<WilsonField<Real>> tmp_multi_;
   std::shared_ptr<CloverField<Real>> diag_;      // A + 4 + m
   std::shared_ptr<CloverField<Real>> inv_diag_;  // (A + 4 + m)^{-1}
   Reconstruct recon_ = Reconstruct::None;

@@ -124,17 +124,19 @@ class StaggeredSchurOperator : public LinearOperator<StaggeredField<Real>> {
   StaggeredSchurOperator(const GaugeField<Real>& fat,
                          const GaugeField<Real>& lng, double mass,
                          double sigma = 0.0, const LinkCut* mask = nullptr)
-      : fat_(&fat), lng_(&lng), mass_(mass), sigma_(sigma), mask_(mask),
-        tmp_(fat.geometry()) {}
+      : fat_(&fat), lng_(&lng), mass_(mass), sigma_(sigma), mask_(mask) {
+    tmp_multi_.emplace_back(fat.geometry());
+  }
 
   void apply(StaggeredField<Real>& out,
              const StaggeredField<Real>& in) const override {
     this->count_application();
     const LatticeGeometry& g = geometry();
-    tmp_.set_zero();
-    staggered_hop(tmp_, *fat_, *lng_, in, Parity::Odd, mask_);
+    StaggeredField<Real>& tmp = tmp_multi_.front();
+    tmp.set_zero();
+    staggered_hop(tmp, *fat_, *lng_, in, Parity::Odd, mask_);
     out.set_zero();
-    staggered_hop(out, *fat_, *lng_, tmp_, Parity::Even, mask_);
+    staggered_hop(out, *fat_, *lng_, tmp, Parity::Even, mask_);
     const Real c = static_cast<Real>(mass_ * mass_ + sigma_);
     for (std::int64_t s = 0; s < g.half_volume(); ++s) {
       ColorVector<Real> v = in.at(s);
@@ -188,8 +190,9 @@ class StaggeredSchurOperator : public LinearOperator<StaggeredField<Real>> {
   double mass_;
   double sigma_;
   const LinkCut* mask_;
-  mutable StaggeredField<Real> tmp_;
-  mutable std::vector<StaggeredField<Real>> tmp_multi_;  // apply_multi scratch
+  // Odd-parity scratch, one per RHS of the widest batch seen; apply() uses
+  // entry 0 (sized in the constructor).
+  mutable std::vector<StaggeredField<Real>> tmp_multi_;
 };
 
 }  // namespace lqcd

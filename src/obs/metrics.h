@@ -10,8 +10,10 @@
 ///  * `comm.exchange.messages`, `comm.exchange.count`
 ///  * `dslash.overlap.post_s` / `.interior_s` / `.wait_s` / `.exterior_s`,
 ///    `dslash.overlap.rank_samples` — the Fig. 4 phase times
-///  * `solver.gcr.iterations` / `.matvecs` / `.restarts` / `.solves`
-///  * `solver.schwarz.mr_steps` — preconditioner work
+///  * `solver.gcr.iterations` / `.matvecs` / `.restarts` / `.solves` —
+///    one name for gcr_solve and the lockstep GCR-DD driver at any batch
+///    width (`.solves` counts RHS)
+///  * `solver.schwarz.mr_steps` — preconditioner work, summed over RHS
 ///  * `tune.hits` / `tune.misses` / `tune.bypassed` / `tune.stale`
 ///
 /// Concurrency: registration (first use of a key) takes a mutex;

@@ -1,9 +1,10 @@
 #pragma once
 /// \file block_gcr.h
-/// \brief Lockstep multi-RHS flexible GCR: N independent GCR recursions
-/// (each the bitwise twin of gcr_solve) advanced in rounds so that every
-/// operator and preconditioner application is issued as one multi-RHS
-/// batch over the shared gauge field.
+/// \brief Lockstep multi-RHS flexible GCR: the driver of the GCR-DD stack
+/// (core/gcr_dd.h), where a single RHS is a batch of width 1.  N
+/// independent recursions of Algorithm 1 are advanced in rounds so that
+/// every operator and preconditioner application is issued as one
+/// multi-RHS batch over the shared gauge field.
 ///
 /// This is deliberately NOT a true block-Krylov method: sharing the Krylov
 /// space across RHS changes the iterates, which would break the serve
@@ -14,9 +15,10 @@
 /// served by one BlockPreconditioner::apply_multi, and all RHS needing an
 /// operator application (Krylov matvec, restart or final true-residual
 /// recomputation alike) by one MultiRhsOperator::apply_multi.  Since the
-/// batched kernels are per-RHS bitwise identical to their single-RHS twins
-/// and BLAS never mixes RHS, residual histories and iterates match
-/// gcr_solve exactly (asserted in tests/test_serve.cpp).
+/// batched kernels are per-RHS bitwise identical to their single-RHS
+/// applications and BLAS never mixes RHS, each RHS's residual history and
+/// iterates match gcr_solve — the Algorithm-1 reference — exactly
+/// (asserted in tests/test_serve.cpp and tests/test_gcr_dd.cpp).
 ///
 /// RHS finish independently: a converged system simply stops contributing
 /// to later rounds while its batch-mates continue (batch occupancy decays
@@ -27,6 +29,10 @@
 /// RHS in flight in that round, so the whole batch rolls back to its last
 /// reliable update — requests in *other* batches are untouched, which is
 /// the rollback isolation the serve layer requires.
+///
+/// Instrumentation shares gcr_solve's names: spans `gcr.solve` (one per
+/// batch) and `gcr.restart`, counters `solver.gcr.solves` (one per RHS),
+/// `.iterations`, `.matvecs`, `.restarts` and `.iter_sweeps`.
 
 #include <cmath>
 #include <complex>
@@ -46,10 +52,14 @@ namespace lqcd {
 /// Frozen mid-solve state of a block_gcr_solve in flight: one per-RHS
 /// record (the lockstep driver's `St`, minus scratch) plus the driver round
 /// counter.  The capture boundary is the end of a driver round — every RHS
-/// has finished its post-operator arithmetic, so no RHS is mid-iteration
-/// and the whole batch resumes bitwise (same contract as GcrCheckpoint,
-/// batch-wide).  Serialized by soak/checkpoint.h; carried through the
-/// serve layer for kill-restore of an in-flight batch (DESIGN.md §15).
+/// has finished its post-operator arithmetic, so no RHS is mid-iteration.
+/// The contract (DESIGN.md §15): a batch captured at round k and resumed
+/// from this state — in the same or another process — produces residual
+/// histories, iterates and stats bitwise identical to the uninterrupted
+/// run's, in both LQCD_RANK_MODE settings.  The scratch true-residual
+/// fields are deliberately absent: each is recomputed before it is read.
+/// Serialized by soak/checkpoint.h; carried through the serve layer for
+/// kill-restore of an in-flight batch.
 template <typename Field>
 struct BlockGcrCheckpoint {
   struct Rhs {
@@ -70,10 +80,13 @@ struct BlockGcrCheckpoint {
   bool valid() const { return !rhs.empty(); }
 };
 
-/// Checkpoint plumbing for one block_gcr_solve call (mirrors
-/// GcrCheckpointIo): capture fires at the end of driver round
-/// `capture_at_round` (1-based count of completed rounds); resume must be
-/// given the same number of RHS in the same order.
+/// Checkpoint plumbing for one block_gcr_solve call.  `resume` (when
+/// non-null) replaces the initial-residual computation with the captured
+/// state and must be given the same number of RHS in the same order;
+/// `captured` receives a snapshot at the end of driver round
+/// `capture_at_round` (1-based count of completed rounds).  With
+/// `stop_after_capture` the solve returns its partial stats immediately
+/// after capturing, simulating a kill at that round.
 template <typename Field>
 struct BlockGcrCheckpointIo {
   const BlockGcrCheckpoint<Field>* resume = nullptr;
@@ -95,15 +108,14 @@ std::vector<SolverStats> block_gcr_solve(
     const std::function<void(Field&)>& low_store = nullptr,
     BlockGcrCheckpointIo<Field>* ckpt = nullptr) {
   const std::size_t n = xs.size();
-  ScopedSpan solve_span("block_gcr.solve");
-  metric_counter("solver.block_gcr.solves").add(n);
+  ScopedSpan solve_span("gcr.solve");
+  metric_counter("solver.gcr.solves").add(n);
   const LatticeGeometry& geom = a.geometry();
 
   Counter& comm_retries = metric_counter("comm.retries");
   Counter& rollback_meter = metric_counter("solver.rollbacks");
   Counter& sweep_meter = metric_counter("blas.sweeps");
-  Counter& iter_sweep_meter =
-      metric_counter("solver.block_gcr.iter_sweeps");
+  Counter& iter_sweep_meter = metric_counter("solver.gcr.iter_sweeps");
 
   // One gcr_solve's worth of state per RHS; `phase` names the operator
   // application the RHS is waiting on (the points where gcr_solve calls
@@ -192,7 +204,7 @@ std::vector<SolverStats> block_gcr_solve(
   // true-residual recomputation (that needs a matvec, so the driver issues
   // it as a Phase::Restart application instead).
   auto implicit_update = [&](St& s) {
-    ScopedSpan span("block_gcr.restart");
+    ScopedSpan span("gcr.restart");
     for (int l = s.k - 1; l >= 0; --l) {
       std::complex<double> chi = s.alpha[static_cast<std::size_t>(l)];
       for (int i = l + 1; i < s.k; ++i) {
@@ -352,11 +364,11 @@ std::vector<SolverStats> block_gcr_solve(
     Field rf(geom);
     s.stats.final_residual = std::sqrt(xmy_norm2(*s.b, s.tmp, rf) / s.b2);
     s.stats.converged = s.stats.final_residual <= params.tol;
-    metric_counter("solver.block_gcr.iterations")
+    metric_counter("solver.gcr.iterations")
         .add(static_cast<std::uint64_t>(s.stats.iterations));
-    metric_counter("solver.block_gcr.matvecs")
+    metric_counter("solver.gcr.matvecs")
         .add(static_cast<std::uint64_t>(s.stats.matvecs));
-    metric_counter("solver.block_gcr.restarts")
+    metric_counter("solver.gcr.restarts")
         .add(static_cast<std::uint64_t>(s.stats.restarts));
     s.phase = Phase::Done;
   };

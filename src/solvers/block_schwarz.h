@@ -1,23 +1,27 @@
 #pragma once
 /// \file block_schwarz.h
-/// \brief Batched additive Schwarz preconditioning for the multi-RHS
-/// solvers: the lockstep twin of SchwarzPreconditioner + mr_solve.
+/// \brief Non-overlapping additive Schwarz (block-Jacobi) preconditioner
+/// (§3.2, §8.1), applied to a batch of right-hand sides.
+///
+/// K r approximately solves A_D e = r where A_D is the Dirichlet-cut
+/// operator (hopping terms crossing block boundaries dropped, blocks
+/// matching the per-GPU subdomains).  Because A_D is block diagonal the
+/// solve decouples: a fixed number of MR steps with block-local reductions
+/// — no inter-block communication at all, which is the whole point.  The
+/// paper evaluates the preconditioner exclusively in half precision; pass a
+/// half round-trip as \p low_store to reproduce that.
 ///
 /// Inside a GCR-DD iteration the preconditioner performs ~10 MR steps —
 /// an order of magnitude more Dirichlet-cut operator applications than the
-/// single outer matvec — so batching only the outer operator would leave
-/// the dominant link traffic unamortized.  The lockstep MR here advances
-/// every RHS one step at a time, issuing each cut-operator application as
-/// one multi-RHS batch (one gauge-link load serves all RHS) while keeping
-/// all per-RHS arithmetic (block-local alphas, caxpy updates, low_store
-/// truncation) bitwise equal to the single-RHS order — the MR step's four
-/// BLAS passes run as two fused one-pass kernels (block_dot_norm2,
-/// block_mr_update) that blas.h guarantees match the unfused sequence
-/// bit-for-bit.  Per-RHS results are
-/// bitwise identical to SchwarzPreconditioner::apply (asserted in
-/// tests/test_serve.cpp); the only single-RHS step skipped is mr_solve's
-/// final residual-norm reduction, which feeds a SolverStats field the
-/// Schwarz wrapper discards and does not touch the iteration fields.
+/// single outer matvec — so the MR steps advance every RHS in lockstep and
+/// issue each cut-operator application as one multi-RHS batch (one
+/// gauge-link load serves all RHS).  Per-RHS arithmetic does not depend on
+/// the batch width: each step is mr_solve's masked step (one fused
+/// block_dot_norm2 reduction, one block_mr_update pass), so K applied to
+/// any RHS of any batch is bitwise equal to mr_solve(A_D, e, r, mr, &mask,
+/// low_store) with e = 0 (asserted in tests/test_gcr_dd.cpp).  A single
+/// RHS is a batch of width 1: the LinearOperator face below is that call,
+/// for gcr_solve drivers.
 
 #include <complex>
 #include <functional>
@@ -32,10 +36,9 @@
 namespace lqcd {
 
 /// Preconditioner interface for the block Krylov drivers: a batched apply
-/// plus per-RHS inner-work reporting, so the outer solver can attribute
-/// preconditioner iterations to individual requests without the cumulative
-/// counter-differencing the single-RHS path needs (the per-solve stats
-/// isolation the serve queue relies on).
+/// plus per-RHS inner-work reporting, so the outer solver attributes
+/// preconditioner iterations to individual requests directly (the
+/// per-solve stats isolation the serve queue relies on).
 template <typename Field>
 class BlockPreconditioner {
  public:
@@ -51,26 +54,28 @@ class BlockPreconditioner {
 };
 
 template <typename Field>
-class MultiRhsSchwarzPreconditioner : public BlockPreconditioner<Field> {
+class SchwarzPreconditioner : public BlockPreconditioner<Field>,
+                              public LinearOperator<Field> {
  public:
   /// \param dirichlet_op the block-decoupled (communications-off) operator,
-  ///        batched; \param mask the block decomposition it was cut along.
-  MultiRhsSchwarzPreconditioner(const MultiRhsOperator<Field>& dirichlet_op,
-                                const BlockMask& mask, MrParams mr,
-                                std::function<void(Field&)> low_store = nullptr)
+  ///        batched (wrap a plain LinearOperator in PerRhsMultiOperator);
+  /// \param mask the block decomposition it was cut along.
+  SchwarzPreconditioner(const MultiRhsOperator<Field>& dirichlet_op,
+                        const BlockMask& mask, MrParams mr,
+                        std::function<void(Field&)> low_store = nullptr)
       : op_(&dirichlet_op), mask_(&mask), mr_(mr),
         low_store_(std::move(low_store)) {}
 
   void apply_multi(const std::vector<Field*>& outs,
                    const std::vector<const Field*>& ins,
                    std::vector<int>* inner_steps = nullptr) const override {
-    ScopedSpan span("schwarz.apply_multi");
+    ScopedSpan span("schwarz.apply");
     const std::size_t w = ins.size();
     const LatticeGeometry& g = op_->geometry();
 
     // Workspace fields persist across applies (the preconditioner runs once
     // per outer iteration, so reallocating 3w ~MB-scale fields each call
-    // costs a measurable slice of the batch).  Every reused buffer is fully
+    // costs a measurable slice of the solve).  Every reused buffer is fully
     // overwritten before it is read — rhs by copy, r and ar by the batched
     // operator — so reuse cannot change any value.
     std::vector<Field>& rhs = ws_rhs_;
@@ -107,14 +112,10 @@ class MultiRhsSchwarzPreconditioner : public BlockPreconditioner<Field> {
 
     for (int k = 0; k < mr_.steps; ++k) {
       {
-        ScopedSpan op_span("mr.op_multi");
+        ScopedSpan op_span("mr.op");
         op_->apply_multi(ar_ptr, r_cptr);
       }
       for (std::size_t i = 0; i < w; ++i) {
-        // Fused one-pass kernels: alpha reduction (block_dot + block_norm2)
-        // and the x/r update pair (two masked caxpys).  Both are bitwise
-        // identical to the unfused sequence mr_solve runs (see blas.h), so
-        // the per-RHS equivalence contract above still holds.
         const auto [num, den] = block_dot_norm2(ar[i], r[i], *mask_);
         std::vector<std::complex<double>> alpha(num.size());
         for (std::size_t j = 0; j < num.size(); ++j) {
@@ -129,22 +130,37 @@ class MultiRhsSchwarzPreconditioner : public BlockPreconditioner<Field> {
       }
     }
 
+    const int steps = mr_.steps * static_cast<int>(w);
+    inner_steps_ += steps;
     metric_counter("solver.schwarz.mr_steps")
-        .add(static_cast<std::uint64_t>(mr_.steps) * w);
+        .add(static_cast<std::uint64_t>(steps));
     if (inner_steps != nullptr) {
       inner_steps->assign(w, mr_.steps);
     }
   }
 
+  /// K at width 1, for gcr_solve and other LinearOperator drivers.
+  void apply(Field& out, const Field& in) const override {
+    apply_multi({&out}, {&in});
+  }
+
   const LatticeGeometry& geometry() const override { return op_->geometry(); }
+
+  /// Total MR steps spent inside the preconditioner since construction,
+  /// over every RHS of every apply.  Cumulative: a gcr_solve caller that
+  /// reports per-solve work must difference around the solve (the block
+  /// drivers get per-RHS counts from apply_multi instead).
+  int inner_steps() const { return inner_steps_; }
 
  private:
   const MultiRhsOperator<Field>* op_;
   const BlockMask* mask_;
   MrParams mr_;
   std::function<void(Field&)> low_store_;
-  // Reusable per-RHS workspaces, grown to the widest batch seen.  apply_multi
-  // is logically const; the service serializes dispatches, so no locking.
+  mutable int inner_steps_ = 0;
+  // Reusable per-RHS workspaces, grown to the widest batch seen.  apply is
+  // logically const; callers serialize applies (the service dispatches one
+  // batch at a time), so no locking.
   mutable std::vector<Field> ws_rhs_;
   mutable std::vector<Field> ws_r_;
   mutable std::vector<Field> ws_ar_;

@@ -32,7 +32,6 @@
 #include <cmath>
 #include <complex>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "dirac/operator.h"
@@ -43,52 +42,6 @@
 #include "util/log.h"
 
 namespace lqcd {
-
-/// Frozen mid-solve state of a gcr_solve in flight — everything the
-/// algorithm reads after an iteration boundary: the iterate, the iterated
-/// residual, the open Krylov cycle (basis vectors and coefficients) and the
-/// partial SolverStats.  The contract (DESIGN.md §15): a solve captured at
-/// iteration k and resumed from this state — in the same or another process
-/// — produces residual history, iterates, and stats bitwise identical to
-/// the uninterrupted run's, in both LQCD_RANK_MODE settings.  The scratch
-/// true-residual field `r` is deliberately absent: it is only ever read via
-/// `copy(rhat, r)` immediately after being recomputed, so it carries no
-/// state across iteration boundaries.  Serialized by soak/checkpoint.h.
-template <typename Field>
-struct GcrCheckpoint {
-  int k = 0;                       ///< open-cycle Krylov basis size
-  double rnorm = 0.0;              ///< last true residual norm
-  double cycle_start_norm = 0.0;   ///< the delta test's reference
-  SolverStats stats;               ///< partial stats (history prefix)
-  std::optional<Field> x;          ///< iterate (implicit update pending)
-  std::optional<Field> rhat;       ///< iterated (storage-precision) residual
-  std::vector<Field> p, z;         ///< open-cycle Krylov vectors (size k)
-  std::vector<std::vector<std::complex<double>>> beta;  ///< kmax rows
-  std::vector<double> gamma;                            ///< kmax entries
-  std::vector<std::complex<double>> alpha;              ///< kmax entries
-
-  bool valid() const { return x.has_value(); }
-};
-
-/// Checkpoint plumbing for one gcr_solve call.  `resume` (when non-null)
-/// replaces the initial-residual computation with the captured state;
-/// `captured` receives a snapshot at the end of the first iteration whose
-/// ordinal is >= `capture_at` (rollback/breakdown iterations re-enter the
-/// loop without passing the boundary, so the capture lands on the next
-/// completed iteration — still a deterministic, resumable point).  With
-/// `stop_after_capture` the solve returns its partial stats immediately
-/// after capturing, simulating a kill at that iteration.
-template <typename Field>
-struct GcrCheckpointIo {
-  const GcrCheckpoint<Field>* resume = nullptr;
-  int capture_at = -1;
-  GcrCheckpoint<Field>* captured = nullptr;
-  bool stop_after_capture = false;
-  /// Set by wrappers that meter preconditioner work outside gcr_solve
-  /// (GcrDdWilsonSolver): called at capture time so the frozen stats carry
-  /// the exact mid-solve inner-iteration count, not the end-of-solve one.
-  std::function<int()> inner_iterations_now;
-};
 
 struct GcrParams {
   double tol = 1e-5;   ///< relative residual target
@@ -121,8 +74,7 @@ template <typename Field>
 SolverStats gcr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
                       const LinearOperator<Field>* precond,
                       const GcrParams& params,
-                      const std::function<void(Field&)>& low_store = nullptr,
-                      GcrCheckpointIo<Field>* ckpt = nullptr) {
+                      const std::function<void(Field&)>& low_store = nullptr) {
   SolverStats stats;
   ScopedSpan solve_span("gcr.solve");
   metric_counter("solver.gcr.solves").add();
@@ -151,39 +103,13 @@ SolverStats gcr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
       static_cast<std::size_t>(params.kmax));
 
   int k = 0;
-  double rnorm = 0.0;
-  double cycle_start_norm = 0.0;
-  if (ckpt != nullptr && ckpt->resume != nullptr && ckpt->resume->valid()) {
-    // Restore: every quantity the loop reads is bit-copied from the
-    // capture, so the continuation is arithmetic on bitwise-identical data
-    // and reproduces the uninterrupted trajectory exactly.  The initial
-    // matvec is skipped — it happened before the capture and is already in
-    // the restored stats.
-    const GcrCheckpoint<Field>& c = *ckpt->resume;
-    stats = c.stats;
-    k = c.k;
-    rnorm = c.rnorm;
-    cycle_start_norm = c.cycle_start_norm;
-    x = *c.x;
-    rhat = *c.rhat;  // plain assignment: restore must not meter BLAS sweeps
-    p = c.p;
-    z = c.z;
-    beta = c.beta;
-    beta.resize(static_cast<std::size_t>(params.kmax));
-    gamma = c.gamma;
-    gamma.resize(static_cast<std::size_t>(params.kmax));
-    alpha = c.alpha;
-    alpha.resize(static_cast<std::size_t>(params.kmax));
-  } else {
-    // r = b - A x (one fused sweep instead of copy + axpy + norm2).
-    a.apply(tmp, x);
-    ++stats.matvecs;
-    rnorm = std::sqrt(xmy_norm2(b, tmp, r));
-
-    copy(rhat, r);
-    if (low_store) low_store(rhat);
-    cycle_start_norm = rnorm;
-  }
+  // r = b - A x (one fused sweep instead of copy + axpy + norm2).
+  a.apply(tmp, x);
+  ++stats.matvecs;
+  double rnorm = std::sqrt(xmy_norm2(b, tmp, r));
+  copy(rhat, r);
+  if (low_store) low_store(rhat);
+  double cycle_start_norm = rnorm;
 
   // Fault-recovery baseline: repairs during the initial residual
   // computation need no rollback (r is already the true residual).
@@ -241,7 +167,6 @@ SolverStats gcr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
     }
   };
 
-  bool captured = false;
   while (rnorm > target && stats.iterations < params.max_iter &&
          stats.restarts < params.max_restarts) {
     ScopedSpan iter_span("gcr.iter");
@@ -362,28 +287,6 @@ SolverStats gcr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
     if (k == params.kmax || rhat_norm < params.delta * cycle_start_norm) {
       restart(false);
     }
-    // Checkpoint boundary: the end of a completed iteration, after the
-    // restart decision — the exact state a resumed solve re-enters from.
-    if (ckpt != nullptr && ckpt->captured != nullptr && !captured &&
-        stats.iterations >= ckpt->capture_at && ckpt->capture_at >= 0) {
-      captured = true;
-      GcrCheckpoint<Field>& c = *ckpt->captured;
-      c.k = k;
-      c.rnorm = rnorm;
-      c.cycle_start_norm = cycle_start_norm;
-      c.stats = stats;
-      if (ckpt->inner_iterations_now) {
-        c.stats.inner_iterations = ckpt->inner_iterations_now();
-      }
-      c.x.emplace(x);
-      c.rhat.emplace(rhat);
-      c.p = p;
-      c.z = z;
-      c.beta = beta;
-      c.gamma = gamma;
-      c.alpha = alpha;
-      if (ckpt->stop_after_capture) return stats;  // simulated kill
-    }
   }
 
   if (k > 0) restart(true);
@@ -407,11 +310,10 @@ SolverStats gcr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
 template <typename Field>
 SolverStats gcr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
                       std::nullptr_t, const GcrParams& params,
-                      const std::function<void(Field&)>& low_store = nullptr,
-                      GcrCheckpointIo<Field>* ckpt = nullptr) {
+                      const std::function<void(Field&)>& low_store = nullptr) {
   return gcr_solve(a, x, b,
                    static_cast<const LinearOperator<Field>*>(nullptr), params,
-                   low_store, ckpt);
+                   low_store);
 }
 
 }  // namespace lqcd

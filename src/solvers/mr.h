@@ -45,16 +45,16 @@ SolverStats mr_solve(const LinearOperator<Field>& a, Field& x, const Field& b,
     }
     ++stats.matvecs;
     if (mask != nullptr) {
-      const auto num = block_dot(ar, r, *mask);
-      const auto den = block_norm2(ar, *mask);
+      // Fused one-pass kernels: the alpha reduction (block_dot +
+      // block_norm2) and the x/r update pair (two masked caxpys), bitwise
+      // identical to the unfused sequence (see blas.h).
+      const auto [num, den] = block_dot_norm2(ar, r, *mask);
       std::vector<std::complex<double>> alpha(num.size());
       for (std::size_t i = 0; i < num.size(); ++i) {
         alpha[i] = den[i] > 0 ? params.omega * num[i] / den[i]
                               : std::complex<double>{};
       }
-      block_caxpy(alpha, r, x, *mask);
-      for (auto& v : alpha) v = -v;
-      block_caxpy(alpha, ar, r, *mask);
+      block_mr_update(alpha, r, ar, x, *mask);
     } else {
       const double den = norm2(ar);
       if (den == 0) break;

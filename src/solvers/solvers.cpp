@@ -1,12 +1,12 @@
 // Anchor translation unit: instantiates the solver templates on the
 // concrete field types so interface breaks surface at library build time.
 #include "solvers/bicgstab.h"
+#include "solvers/block_schwarz.h"
 #include "solvers/cg.h"
 #include "solvers/gcr.h"
 #include "solvers/mixed_cg.h"
 #include "solvers/mr.h"
 #include "solvers/multishift_cg.h"
-#include "solvers/schwarz.h"
 
 #include "fields/lattice_field.h"
 
@@ -33,13 +33,11 @@ template SolverStats gcr_solve(const LinearOperator<WilsonField<float>>&,
                                WilsonField<float>&, const WilsonField<float>&,
                                const LinearOperator<WilsonField<float>>*,
                                const GcrParams&,
-                               const std::function<void(WilsonField<float>&)>&,
-                               GcrCheckpointIo<WilsonField<float>>*);
+                               const std::function<void(WilsonField<float>&)>&);
 template SolverStats gcr_solve(
     const LinearOperator<WilsonField<double>>&, WilsonField<double>&,
     const WilsonField<double>&, const LinearOperator<WilsonField<double>>*,
-    const GcrParams&, const std::function<void(WilsonField<double>&)>&,
-    GcrCheckpointIo<WilsonField<double>>*);
+    const GcrParams&, const std::function<void(WilsonField<double>&)>&);
 template SolverStats multishift_cg_solve(
     const LinearOperator<StaggeredField<float>>&,
     std::vector<StaggeredField<float>>&, const std::vector<double>&,

@@ -214,8 +214,9 @@ TEST(CheckpointComponents, FieldRoundTripIsBitwise) {
 }
 
 TEST(CheckpointComponents, MidSolveGcrCaptureSurvivesSerialization) {
-  // Capture a real GCR-DD solve mid-flight and require the decoded
-  // checkpoint to be bitwise identical member by member.
+  // Capture a real GCR-DD solve mid-flight (the single-RHS solve, a batch
+  // of width 1) and require the decoded checkpoint to be bitwise identical
+  // member by member.
   const LatticeGeometry g({4, 4, 4, 8});
   GaugeField<double> u = hot_gauge(g, 41);
   HeatbathParams hb;
@@ -228,35 +229,47 @@ TEST(CheckpointComponents, MidSolveGcrCaptureSurvivesSerialization) {
   GcrDdWilsonSolver solver(u, nullptr, p);
   const WilsonField<double> b = gaussian_wilson_source(g, 43);
 
-  GcrCheckpoint<WilsonField<float>> captured;
-  GcrCheckpointIo<WilsonField<float>> io;
-  io.capture_at = 2;
+  // Driver round 1 computes the initial residual; each later round runs one
+  // GCR iteration or one restart's true-residual recomputation.
+  BlockGcrCheckpoint<WilsonField<float>> captured;
+  BlockGcrCheckpointIo<WilsonField<float>> io;
+  io.capture_at_round = 3;
   io.captured = &captured;
   io.stop_after_capture = true;
   WilsonField<double> x(g);
   (void)solver.solve(x, b, &io);
   ASSERT_TRUE(captured.valid());
+  ASSERT_EQ(captured.rhs.size(), 1u);
+  EXPECT_GE(captured.rhs[0].stats.iterations, 1);
 
   ByteWriter w;
-  soak::put_gcr_checkpoint(w, captured);
+  soak::put_block_gcr_checkpoint(w, captured);
   ByteReader r{std::span<const std::uint8_t>(w.bytes())};
-  const auto back = soak::get_gcr_checkpoint<WilsonField<float>>(r);
-  EXPECT_EQ(back.k, captured.k);
-  EXPECT_EQ(back.rnorm, captured.rnorm);
-  EXPECT_EQ(back.cycle_start_norm, captured.cycle_start_norm);
-  EXPECT_EQ(back.stats.iterations, captured.stats.iterations);
-  EXPECT_EQ(back.stats.residual_history, captured.stats.residual_history);
-  expect_bitwise_equal(*back.x, *captured.x, "checkpoint iterate");
-  expect_bitwise_equal(*back.rhat, *captured.rhat, "checkpoint residual");
-  ASSERT_EQ(back.p.size(), captured.p.size());
-  ASSERT_EQ(back.z.size(), captured.z.size());
-  for (std::size_t i = 0; i < back.p.size(); ++i) {
-    expect_bitwise_equal(back.p[i], captured.p[i], "krylov p");
-    expect_bitwise_equal(back.z[i], captured.z[i], "krylov z");
+  const auto back = soak::get_block_gcr_checkpoint<WilsonField<float>>(r);
+  EXPECT_EQ(back.round, captured.round);
+  ASSERT_EQ(back.rhs.size(), 1u);
+  const auto& got = back.rhs[0];
+  const auto& want = captured.rhs[0];
+  EXPECT_EQ(got.phase, want.phase);
+  EXPECT_EQ(got.k, want.k);
+  EXPECT_EQ(got.b2, want.b2);
+  EXPECT_EQ(got.target, want.target);
+  EXPECT_EQ(got.rnorm, want.rnorm);
+  EXPECT_EQ(got.cycle_start_norm, want.cycle_start_norm);
+  EXPECT_EQ(got.stats.iterations, want.stats.iterations);
+  EXPECT_EQ(got.stats.inner_iterations, want.stats.inner_iterations);
+  EXPECT_EQ(got.stats.residual_history, want.stats.residual_history);
+  expect_bitwise_equal(*got.x, *want.x, "checkpoint iterate");
+  expect_bitwise_equal(*got.rhat, *want.rhat, "checkpoint residual");
+  ASSERT_EQ(got.p.size(), want.p.size());
+  ASSERT_EQ(got.z.size(), want.z.size());
+  for (std::size_t i = 0; i < got.p.size(); ++i) {
+    expect_bitwise_equal(got.p[i], want.p[i], "krylov p");
+    expect_bitwise_equal(got.z[i], want.z[i], "krylov z");
   }
-  EXPECT_EQ(back.beta, captured.beta);
-  EXPECT_EQ(back.gamma, captured.gamma);
-  EXPECT_EQ(back.alpha, captured.alpha);
+  EXPECT_EQ(got.beta, want.beta);
+  EXPECT_EQ(got.gamma, want.gamma);
+  EXPECT_EQ(got.alpha, want.alpha);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@
 #include "gauge/gauge_io.h"
 #include "gauge/heatbath.h"
 #include "gauge/observables.h"
+#include "solvers/block_schwarz.h"
 #include "solvers/gcr.h"
 #include "solvers/normal_cg.h"
 #include "solvers/overlap_schwarz.h"
 #include "solvers/sap.h"
-#include "solvers/schwarz.h"
 
 namespace lqcd {
 namespace {
@@ -119,12 +119,13 @@ TEST(Sap, MultiplicativeBeatsAdditiveAtEqualInnerWork) {
   WilsonSystem sys;
   BlockMask mask(sys.g, {1, 1, 2, 2});
   WilsonCloverOperator<double> dirichlet(sys.u, nullptr, sys.mass, &mask);
+  const PerRhsMultiOperator<WilsonField<double>> dirichlet_batch(dirichlet);
 
   GcrParams gp;
   gp.tol = 1e-6;
   gp.kmax = 16;
 
-  SchwarzPreconditioner<WilsonField<double>> additive(dirichlet, mask,
+  SchwarzPreconditioner<WilsonField<double>> additive(dirichlet_batch, mask,
                                                       MrParams{8, 1.0});
   WilsonField<double> x_add(sys.g);
   set_zero(x_add);
@@ -169,9 +170,11 @@ TEST(OverlapSchwarz, ZeroOverlapEqualsAdditiveSchwarz) {
   WilsonSystem sys;
   BlockMask mask(sys.g, {1, 1, 2, 2});
   WilsonCloverOperator<double> dirichlet(sys.u, nullptr, sys.mass, &mask);
+  const PerRhsMultiOperator<WilsonField<double>> dirichlet_batch(dirichlet);
   const MrParams mr{6, 1.0};
 
-  SchwarzPreconditioner<WilsonField<double>> additive(dirichlet, mask, mr);
+  SchwarzPreconditioner<WilsonField<double>> additive(dirichlet_batch, mask,
+                                                      mr);
   OverlapSchwarzPreconditioner<WilsonField<double>> overlapped(
       sys.g, mask,
       [&](const LinkCut& cut) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "comm/virtual_cluster.h"
 #include "core/gcr_dd.h"
@@ -13,6 +15,8 @@
 #include "gauge/configure.h"
 #include "gauge/heatbath.h"
 #include "obs/metrics.h"
+#include "solvers/gcr.h"
+#include "solvers/mr.h"
 
 namespace lqcd {
 namespace {
@@ -24,6 +28,39 @@ GaugeField<double> thermalized(const LatticeGeometry& g, std::uint64_t seed) {
   thermalize(u, hb, 3);
   return u;
 }
+
+// Algorithm 1's preconditioner written out directly: a fixed number of
+// block-local MR steps on the Dirichlet-cut operator, in the storage
+// precision \p store emulates.  An independent reference for the
+// solver's batched SchwarzPreconditioner.
+class MrSchwarzReference : public LinearOperator<WilsonField<float>> {
+ public:
+  MrSchwarzReference(const LinearOperator<WilsonField<float>>& dirichlet,
+                     const BlockMask& mask, MrParams mr,
+                     std::function<void(WilsonField<float>&)> store)
+      : dirichlet_(&dirichlet), mask_(&mask), mr_(mr),
+        store_(std::move(store)) {}
+
+  void apply(WilsonField<float>& out,
+             const WilsonField<float>& in) const override {
+    set_zero(out);
+    WilsonField<float> rhs(in.geometry());
+    copy(rhs, in);
+    if (store_) store_(rhs);
+    steps += mr_solve(*dirichlet_, out, rhs, mr_, mask_, store_).iterations;
+  }
+  const LatticeGeometry& geometry() const override {
+    return dirichlet_->geometry();
+  }
+
+  mutable int steps = 0;
+
+ private:
+  const LinearOperator<WilsonField<float>>* dirichlet_;
+  const BlockMask* mask_;
+  MrParams mr_;
+  std::function<void(WilsonField<float>&)> store_;
+};
 
 TEST(GcrDd, SolvesWilsonCloverToSinglePrecision) {
   const LatticeGeometry g({4, 4, 4, 8});
@@ -336,6 +373,75 @@ TEST(GcrDd, ResidualHistoryIdenticalAcrossRankModes) {
   ASSERT_EQ(seq.residual_history.size(), thr.residual_history.size());
   for (std::size_t i = 0; i < seq.residual_history.size(); ++i) {
     EXPECT_EQ(seq.residual_history[i], thr.residual_history[i]) << "iter " << i;
+  }
+}
+
+TEST(GcrDd, SingleSolveMatchesGcrSolveWithMrSchwarzReference) {
+  // The single-RHS solve is the batched solver at width 1.  Against an
+  // independent reference — gcr_solve (Algorithm 1) on the solver's own
+  // outer Schur operator, preconditioned by mr_solve on a Dirichlet-cut
+  // operator built here — it must agree bitwise in both rank modes:
+  // solution, iterations, matvecs, MR steps and residual history.
+  const LatticeGeometry g({4, 4, 4, 8});
+  const GaugeField<double> u = thermalized(g, 141);
+  const CloverField<double> a = build_clover_field(u, 1.0);
+  const WilsonField<double> b = gaussian_wilson_source(g, 142);
+
+  GcrDdParams p;
+  p.mass = 0.1;
+  p.tol = 1e-5;
+  p.block_grid = {1, 1, 1, 2};
+  p.rank_grid = {{1, 1, 1, 2}};
+
+  const GaugeField<float> u_f = convert_gauge<float>(u);
+  GaugeField<float> u_half = u_f;
+  half_roundtrip(u_half);
+  const CloverField<float> a_f = convert_clover<float>(a);
+  const std::function<void(WilsonField<float>&)> store =
+      [](WilsonField<float>& f) { half_roundtrip(f, Parity::Even); };
+
+  for (RankMode mode : {RankMode::Seq, RankMode::Threads}) {
+    const RankMode prev = rank_mode();
+    set_rank_mode(mode);
+
+    GcrDdWilsonSolver solver(u, &a, p);
+    WilsonField<double> x(g);
+    const SolverStats got = solver.solve(x, b);
+
+    const PartitionedWilsonCloverSchur<float>& outer =
+        *solver.partitioned_operator();
+    const WilsonCloverSchurOperator<float> dirichlet(u_half, &a_f, p.mass,
+                                                     &solver.mask());
+    const MrSchwarzReference precond(dirichlet, solver.mask(), p.mr, store);
+    const WilsonField<float> b_f = convert_field<float>(b);
+    WilsonField<float> b_hat(g);
+    outer.prepare_source(b_hat, b_f);
+    WilsonField<float> x_f(g);
+    set_zero(x_f);
+    GcrParams gp;
+    gp.tol = p.tol;
+    gp.kmax = p.kmax;
+    gp.delta = p.delta;
+    gp.max_iter = p.max_iter;
+    const SolverStats want =
+        gcr_solve(solver.schur_operator(), x_f, b_hat, &precond, gp, store);
+    outer.reconstruct_solution(x_f, b_f);
+    const WilsonField<double> x_ref = convert_field<double>(x_f);
+    set_rank_mode(prev);
+
+    const char* what = mode == RankMode::Seq ? "seq" : "threads";
+    EXPECT_TRUE(got.converged) << what;
+    EXPECT_EQ(got.iterations, want.iterations) << what;
+    EXPECT_EQ(got.matvecs, want.matvecs) << what;
+    EXPECT_EQ(got.restarts, want.restarts) << what;
+    EXPECT_EQ(got.inner_iterations, precond.steps) << what;
+    EXPECT_EQ(got.final_residual, want.final_residual) << what;
+    EXPECT_EQ(got.residual_history, want.residual_history) << what;
+    ASSERT_EQ(x.sites().size_bytes(), x_ref.sites().size_bytes());
+    EXPECT_EQ(std::memcmp(x.sites().data(), x_ref.sites().data(),
+                          x.sites().size_bytes()),
+              0)
+        << what;
   }
 }
 

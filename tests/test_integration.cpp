@@ -19,8 +19,8 @@
 #include "gauge/clover_leaf.h"
 #include "gauge/configure.h"
 #include "gauge/heatbath.h"
+#include "solvers/block_schwarz.h"
 #include "solvers/gcr.h"
-#include "solvers/schwarz.h"
 
 namespace lqcd {
 namespace {
@@ -41,8 +41,9 @@ TEST(Integration, GcrDdOnPartitionedOperatorsIsCommunicationFree) {
   // Preconditioner operator: same partitioning, communications off.
   PartitionedWilsonClover<double> dirichlet(part, u, nullptr, mass,
                                             /*comms=*/false);
+  const PerRhsMultiOperator<WilsonField<double>> dirichlet_batch(dirichlet);
   BlockMask mask(g, grid);
-  SchwarzPreconditioner<WilsonField<double>> precond(dirichlet, mask,
+  SchwarzPreconditioner<WilsonField<double>> precond(dirichlet_batch, mask,
                                                      MrParams{8, 1.0});
 
   const WilsonField<double> b = gaussian_wilson_source(g, 202);
@@ -89,8 +90,9 @@ TEST(Integration, FullProductionStackOnVirtualCluster) {
   PartitionedWilsonCloverSchur<double> outer(part, u, &a, mass);
   PartitionedWilsonCloverSchur<double> dirichlet(part, u, &a, mass,
                                                  /*comms=*/false);
+  const PerRhsMultiOperator<WilsonField<double>> dirichlet_batch(dirichlet);
   BlockMask mask(g, grid);
-  SchwarzPreconditioner<WilsonField<double>> precond(dirichlet, mask,
+  SchwarzPreconditioner<WilsonField<double>> precond(dirichlet_batch, mask,
                                                      MrParams{10, 1.0});
 
   const WilsonField<double> b = gaussian_wilson_source(g, 212);

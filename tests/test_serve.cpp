@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "comm/virtual_cluster.h"
-#include "core/block_gcr_dd.h"
 #include "core/gcr_dd.h"
 #include "dirac/even_odd.h"
 #include "dirac/multi_rhs.h"
@@ -294,9 +293,9 @@ TEST(BlockSolvers, BlockCgBitwiseMatchesCg) {
 }
 
 TEST(BlockSolvers, BlockGcrDdMatchesSingleAcrossRankModes) {
-  // Full stack over the virtual cluster: the batched GCR-DD solver must
-  // reproduce GcrDdWilsonSolver per RHS — stats, residual trajectory and
-  // the solution fields — in both the sequential reference and the
+  // Full stack over the virtual cluster: a batched GCR-DD solve must
+  // reproduce the width-1 solve of each RHS — stats, residual trajectory
+  // and the solution fields — in both the sequential reference and the
   // concurrent rank runtime.
   const LatticeGeometry g({4, 4, 4, 8});
   const GaugeField<double> u = thermalized(g, 271);
@@ -317,7 +316,7 @@ TEST(BlockSolvers, BlockGcrDdMatchesSingleAcrossRankModes) {
     const RankMode prev = rank_mode();
     set_rank_mode(mode);
 
-    MultiRhsGcrDdWilsonSolver block_solver(u, &a, p);
+    GcrDdWilsonSolver block_solver(u, &a, p);
     std::vector<WilsonField<double>> x_block;
     std::vector<WilsonField<double>*> xs;
     std::vector<const WilsonField<double>*> bs;
